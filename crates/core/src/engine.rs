@@ -1,50 +1,50 @@
 //! The QAT Engine layer (paper §3.2, §4.3): the bridge between the TLS
-//! library and the QAT driver, structured as an explicit pipeline of
-//! three stages composed per shard by [`OffloadEngine`]:
+//! library and the QAT driver. Every offload takes one path,
+//! [`OffloadEngine::offload_batch`]; a single op
+//! ([`OffloadEngine::offload`]) is a group of one.
 //!
-//! - [`SubmitStage`] — cookie allocation, inflight accounting and
-//!   request submission, either immediate (one doorbell per request) or
-//!   staged through an attached [`SubmitQueue`] and flushed in one
-//!   batch at the event-loop sweep boundary. Owns the single shared
-//!   [`Backpressure`] policy every ring-full retry goes through.
-//! - [`RetrieveStage`] — response retrieval (polling) over the same
-//!   ring pair.
-//! - the notify stage — wraps completion delivery (inflight decrement +
-//!   [`crate::wait_ctx::WaitCtx::complete`], which fires the registered
-//!   [`crate::notify::Notifier`]) into the device response callback.
+//! 1. The [`ShardRouter`] places the group on one shard. Each shard
+//!    owns one [`CryptoInstance`] (one ring pair, ideally on its own
+//!    endpoint), its inflight tallies, its phase histograms, an
+//!    optional [`SubmitQueue`] and a ring-full retry counter.
+//! 2. Every member becomes a request with a fresh cookie and the one
+//!    completion callback: it releases the member's inflight accounting
+//!    (engine-wide and per shard), parks the result on the group's
+//!    board, and the last member wakes the group's single waiter — a
+//!    paused fiber job's wait context (which fires the registered
+//!    [`crate::notify::Notifier`]) or a blocked caller's slot.
+//! 3. [`Placement::decide`] stages the group on the shard's queue for
+//!    the sweep-boundary flush or publishes it in place under one
+//!    doorbell.
+//! 4. A full ring leaves an unsent tail: a job with a queue stages it,
+//!    a job without one pauses with the retry flag and republishes it,
+//!    and a blocking caller waits under the shared [`Backpressure`]
+//!    policy, polling the shard itself when no external poller runs.
+//! 5. The caller waits: a job pauses until the group completes
+//!    ("crypto pause", spurious resumes pause again); a blocking caller
+//!    (straight offload, `QAT+S`, reproducing the offload-I/O blocking
+//!    pathology of §2.4) polls and waits on its slot.
 //!
-//! An engine is a *set of shards*: each shard owns one
-//! [`CryptoInstance`] (one ring pair, ideally on its own endpoint) plus
-//! its own submit/retrieve/notify stages and optional submit queue, and
-//! a [`ShardRouter`] places every offload on one shard. A
-//! single-instance engine ([`OffloadEngine::new`]) is simply the
-//! one-shard special case and behaves exactly as before; multi-shard
-//! engines ([`OffloadEngine::sharded`]) scale a worker's offload path
-//! past one ring pair.
-//!
-//! Mode behaviour, exactly as in the paper: async mode pauses the
-//! current offload job after submission ("crypto pause") and hands the
-//! result over at resume; straight-offload mode (`QAT+S`) blocks the
-//! caller until the response arrives — reproducing the offload-I/O
-//! blocking pathology of §2.4. The per-class inflight counters
-//! `R_asym`, `R_cipher`, `R_prf` are maintained "with a new engine
-//! command" for the heuristic polling scheme; sharded engines keep the
-//! engine-wide aggregate *and* a per-shard total so routing and
-//! shard-aware polling see each ring's own load.
+//! The per-class inflight counters `R_asym`, `R_cipher`, `R_prf` are
+//! maintained "with a new engine command" for the heuristic polling
+//! scheme; sharded engines keep the engine-wide aggregate *and* a
+//! per-shard total so routing and shard-aware polling see each ring's
+//! own load. A single-instance engine ([`OffloadEngine::new`]) is the
+//! one-shard special case of [`OffloadEngine::sharded`].
 
 use crate::fiber;
 use crate::obs::{self, EngineObs, EventKind, Phase, ShardObs};
 use crate::pipeline::{
-    Backpressure, DrainReport, FlushReport, FullAction, SubmitContext, SubmitQueue,
+    Backpressure, DrainReport, FlushReport, Placement, SubmitContext, SubmitQueue,
 };
 use crate::shard::{ShardPolicy, ShardRouter};
 use qtls_crypto::CryptoError;
 use qtls_qat::{
     make_request, CryptoInstance, CryptoOp, CryptoOutput, CryptoRequest, CryptoResult, OpClass,
-    ResponseCallback, SubmitFull,
 };
 use qtls_sync::{Condvar, Mutex};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -127,226 +127,147 @@ pub enum EngineMode {
     Async,
 }
 
-/// The submission stage of one shard of the offload pipeline: cookies,
-/// inflight accounting, immediate or queued (batched) submission, and
-/// the shared ring-full [`Backpressure`] policy.
-pub struct SubmitStage {
+/// One shard: a crypto instance plus everything the offload path keeps
+/// per ring pair.
+struct Shard {
+    /// Position within the engine (flight-event and span labelling).
+    index: u32,
     instance: CryptoInstance,
-    /// Engine-wide aggregate counters (shared by every shard).
-    counters: Arc<InflightCounters>,
-    /// This shard's own tallies.
-    shard: Arc<ShardInflight>,
-    /// Engine-wide cookie allocator: cookies stay unique across shards.
-    next_cookie: Arc<AtomicU64>,
-    backpressure: Backpressure,
-    /// When attached, async submissions are staged here and published
-    /// in one batch by `flush` at the sweep boundary.
+    inflight: ShardInflight,
+    /// This shard's phase histograms (also installed as the device
+    /// retrieve hook when metrics are enabled).
+    obs: Arc<ShardObs>,
+    /// When attached, a job's single offloads are staged here and
+    /// published in one batch at the sweep boundary.
     queue: Mutex<Option<Arc<SubmitQueue>>>,
-    /// Total submission retries due to a full request ring.
+    /// Submission retries due to a full request ring.
     ring_full_retries: AtomicU64,
 }
 
-impl SubmitStage {
-    fn new(
-        instance: CryptoInstance,
-        counters: Arc<InflightCounters>,
-        shard: Arc<ShardInflight>,
-        next_cookie: Arc<AtomicU64>,
-    ) -> Self {
-        SubmitStage {
-            instance,
-            counters,
-            shard,
-            next_cookie,
-            backpressure: Backpressure::default(),
-            queue: Mutex::new(None),
-            ring_full_retries: AtomicU64::new(0),
-        }
-    }
-
-    fn next_cookie(&self) -> u64 {
-        self.next_cookie.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Account a request as inflight the moment it enters the pipeline.
-    fn begin(&self, class: OpClass) {
-        self.counters.counter(class).fetch_add(1, Ordering::Relaxed);
-        self.shard.inc(class);
-    }
-
-    /// Undo [`Self::begin`] for a request handed back by a full ring.
-    fn abort(&self, class: OpClass) {
-        self.counters.counter(class).fetch_sub(1, Ordering::Relaxed);
-        self.shard.dec(class);
-    }
-
-    fn attached_queue(&self) -> Option<Arc<SubmitQueue>> {
+impl Shard {
+    fn queue(&self) -> Option<Arc<SubmitQueue>> {
         self.queue.lock().clone()
     }
-
-    /// Submit immediately (one doorbell); on a full ring count the
-    /// retry and hand the request back to the caller's policy.
-    fn submit_now(&self, request: CryptoRequest) -> Result<(), SubmitFull> {
-        match self.instance.submit(request) {
-            Ok(()) => Ok(()),
-            Err(full) => {
-                self.ring_full_retries.fetch_add(1, Ordering::Relaxed);
-                Err(full)
-            }
-        }
-    }
-
-    /// Sweep-boundary flush of the attached queue: the queue's flush
-    /// policy decides — from the staged depth and this shard's inflight
-    /// total (the load actually queued on this ring pair) — whether to
-    /// publish now or hold the batch to deepen.
-    fn flush(&self) -> FlushReport {
-        match self.attached_queue() {
-            Some(queue) => queue.sweep(&self.instance, self.shard.total()),
-            None => FlushReport::default(),
-        }
-    }
 }
 
-/// The retrieval stage of one shard of the offload pipeline: response
-/// polling over the instance's response ring (callbacks run inline).
-pub struct RetrieveStage {
-    instance: CryptoInstance,
+/// Who the last member of a group wakes.
+enum Waiter {
+    /// A paused fiber job: its wait context parks a sentinel result and
+    /// fires the registered notifier.
+    Job(fiber::CurrentWaitCtx),
+    /// A blocked caller (straight offload, or async mode outside a job).
+    Block(BlockSlot),
+    /// A stack-async operation (§4.1): nobody waits; the callback takes
+    /// the results.
+    Detached(Box<dyn Fn(Vec<CryptoResult>) + Send + Sync>),
 }
 
-impl RetrieveStage {
-    /// Retrieve up to `max` responses; returns the number retrieved.
-    pub fn poll(&self, max: usize) -> usize {
-        self.instance.poll(max)
-    }
-
-    /// Drain all available responses.
-    pub fn poll_all(&self) -> usize {
-        self.instance.poll_all()
-    }
-}
-
-/// The notify stage of one shard of the offload pipeline: builds the
-/// device response callback that pairs the inflight decrements
-/// (aggregate + shard) with completion delivery (parking the result and
-/// firing the registered notifier).
-struct NotifyStage {
+/// One offload group in flight: a result slot per member, a countdown,
+/// and the waiter the member that brings the countdown to zero wakes —
+/// one pause / one signal per group, not per request.
+struct Group {
+    shard: Arc<Shard>,
     counters: Arc<InflightCounters>,
-    shard: Arc<ShardInflight>,
-    /// This shard's phase histograms (notification phase is measured
-    /// here, inside the response callback).
-    obs: Arc<ShardObs>,
+    class: OpClass,
+    slots: Mutex<Vec<Option<CryptoResult>>>,
+    remaining: AtomicU64,
+    /// When the waiter was woken (obs plane; 0 = not stamped), read
+    /// back for the post-processing phase.
+    notified_ns: AtomicU64,
+    waiter: Waiter,
 }
 
-impl NotifyStage {
-    /// Response callback for a fiber job: complete its wait context.
-    /// With metrics on, the notification phase (callback entry → result
-    /// parked + notifier fired) is recorded here and the fire time is
-    /// stamped on the wait context for the post-processing phase.
-    fn job_completion(&self, ctx: fiber::CurrentWaitCtx, class: OpClass) -> ResponseCallback {
-        let counters = Arc::clone(&self.counters);
-        let shard = Arc::clone(&self.shard);
-        let obs = Arc::clone(&self.obs);
-        Box::new(move |result| {
-            counters.counter(class).fetch_sub(1, Ordering::Relaxed);
-            shard.dec(class);
-            if obs.enabled() {
-                let t0 = obs::now_ns();
-                ctx.complete(result);
-                let t1 = obs::now_ns();
-                obs.record(Phase::Notify, class, t1 - t0);
-                ctx.get().set_notified_ns(t1);
-            } else {
-                ctx.complete(result);
-            }
-        })
+impl Group {
+    /// The response callback of every member: release its inflight
+    /// accounting, park its result, and let the last member wake the
+    /// waiter. With metrics on, that wake-up is the group's notification
+    /// phase.
+    fn complete(&self, index: usize, result: CryptoResult) {
+        self.counters
+            .counter(self.class)
+            .fetch_sub(1, Ordering::Relaxed);
+        self.shard.inflight.dec(self.class);
+        self.slots.lock()[index] = Some(result);
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return;
+        }
+        if !self.shard.obs.enabled() {
+            self.wake();
+            return;
+        }
+        let t0 = obs::now_ns();
+        self.wake();
+        let t1 = obs::now_ns();
+        self.shard.obs.record(Phase::Notify, self.class, t1 - t0);
+        self.notified_ns.store(t1, Ordering::Release);
     }
 
-    /// Response callback for one member of a batched fiber-job offload:
-    /// fill the member's slot; the LAST completion (submitted, deferred
-    /// or cancelled) completes the wait context with a sentinel so the
-    /// whole batch costs one crypto pause.
-    fn batch_job_completion(
-        &self,
-        collector: Arc<BatchCollector>,
-        index: usize,
-        ctx: fiber::CurrentWaitCtx,
-        class: OpClass,
-    ) -> ResponseCallback {
-        let counters = Arc::clone(&self.counters);
-        let shard = Arc::clone(&self.shard);
-        Box::new(move |result| {
-            counters.counter(class).fetch_sub(1, Ordering::Relaxed);
-            shard.dec(class);
-            if collector.fill(index, result) {
-                ctx.complete(Ok(CryptoOutput::Bytes(Vec::new())));
-            }
-        })
+    fn wake(&self) {
+        match &self.waiter {
+            Waiter::Job(ctx) => ctx.complete(Ok(CryptoOutput::Bytes(Vec::new()))),
+            Waiter::Block(slot) => slot.fill(),
+            Waiter::Detached(callback) => callback(self.take()),
+        }
     }
 
-    /// Batched counterpart of [`Self::slot_completion`]: the last
-    /// completion signals the blocking waiter once.
-    fn batch_slot_completion(
-        &self,
-        collector: Arc<BatchCollector>,
-        index: usize,
-        slot: Arc<BlockSlot>,
-        class: OpClass,
-    ) -> ResponseCallback {
-        let counters = Arc::clone(&self.counters);
-        let shard = Arc::clone(&self.shard);
-        Box::new(move |result| {
-            counters.counter(class).fetch_sub(1, Ordering::Relaxed);
-            shard.dec(class);
-            if collector.fill(index, result) {
-                slot.fill(Ok(CryptoOutput::Bytes(Vec::new())));
+    /// Post-processing phase (obs plane): notification → results taken.
+    fn record_post(&self) {
+        if self.shard.obs.enabled() {
+            let t = self.notified_ns.load(Ordering::Acquire);
+            if t != 0 {
+                self.shard
+                    .obs
+                    .record(Phase::Post, self.class, obs::now_ns().saturating_sub(t));
             }
-        })
+        }
     }
 
-    /// Response callback for a blocking caller: fill its one-shot slot.
-    fn slot_completion(&self, slot: Arc<BlockSlot>, class: OpClass) -> ResponseCallback {
-        let counters = Arc::clone(&self.counters);
-        let shard = Arc::clone(&self.shard);
-        let obs = Arc::clone(&self.obs);
-        Box::new(move |result| {
-            counters.counter(class).fetch_sub(1, Ordering::Relaxed);
-            shard.dec(class);
-            if obs.enabled() {
-                let t0 = obs::now_ns();
-                slot.fill(result);
-                obs.record(Phase::Notify, class, obs::now_ns().saturating_sub(t0));
-            } else {
-                slot.fill(result);
-            }
-        })
+    /// Collect every result in submission order.
+    fn take(&self) -> Vec<CryptoResult> {
+        self.slots
+            .lock()
+            .drain(..)
+            .map(|slot| slot.expect("group member completed"))
+            .collect()
     }
 }
 
-/// One shard: a crypto instance plus its pipeline stages.
-struct Shard {
-    /// Position within the engine (flight-event labelling).
-    index: u32,
-    submit: SubmitStage,
-    retrieve: RetrieveStage,
-    notify: NotifyStage,
-    inflight: Arc<ShardInflight>,
-    /// This shard's phase histograms (shared with the notify stage and
-    /// installed as the device retrieve hook when metrics are enabled).
-    obs: Arc<ShardObs>,
+/// One-shot wake-up for a blocking caller.
+#[derive(Default)]
+struct BlockSlot {
+    done: Mutex<bool>,
+    cond: Condvar,
+}
+
+impl BlockSlot {
+    fn fill(&self) {
+        *self.done.lock() = true;
+        self.cond.notify_all();
+    }
+
+    fn wait(&self, timeout: Duration) -> bool {
+        let mut done = self.done.lock();
+        if !*done {
+            self.cond.wait_for(&mut done, timeout);
+        }
+        *done
+    }
 }
 
 /// The offload engine of one worker: a router over one or more shards,
-/// each a thin composition of the submit, retrieve and notify stages
-/// bound to its own crypto instance.
+/// the engine-wide inflight counters and cookie allocator, and the
+/// shared ring-full [`Backpressure`] policy.
 pub struct OffloadEngine {
-    shards: Vec<Shard>,
+    shards: Vec<Arc<Shard>>,
     router: ShardRouter,
     counters: Arc<InflightCounters>,
+    /// Cookie allocator: cookies stay unique across shards.
+    next_cookie: AtomicU64,
+    backpressure: Backpressure,
     mode: EngineMode,
     /// Whether a dedicated polling thread retrieves responses (affects
     /// only the blocking path's self-polling decision).
-    has_external_poller: AtomicU64,
+    has_external_poller: AtomicBool,
     /// The observability plane: per-shard phase histograms plus the
     /// flight recorder. Disabled (one relaxed load per touch point)
     /// until [`Self::enable_metrics`].
@@ -367,40 +288,29 @@ impl OffloadEngine {
     /// Panics if `instances` is empty.
     pub fn sharded(instances: Vec<CryptoInstance>, mode: EngineMode, policy: ShardPolicy) -> Self {
         assert!(!instances.is_empty(), "engine needs at least one instance");
-        let counters = Arc::new(InflightCounters::default());
-        let next_cookie = Arc::new(AtomicU64::new(1));
         let obs = EngineObs::new(instances.len());
         let shards = instances
             .into_iter()
             .enumerate()
             .map(|(i, instance)| {
-                let inflight = Arc::new(ShardInflight::default());
-                let shard_obs = Arc::clone(obs.shard(i));
-                Shard {
+                Arc::new(Shard {
                     index: i as u32,
-                    submit: SubmitStage::new(
-                        instance.clone(),
-                        Arc::clone(&counters),
-                        Arc::clone(&inflight),
-                        Arc::clone(&next_cookie),
-                    ),
-                    retrieve: RetrieveStage { instance },
-                    notify: NotifyStage {
-                        counters: Arc::clone(&counters),
-                        shard: Arc::clone(&inflight),
-                        obs: Arc::clone(&shard_obs),
-                    },
-                    inflight,
-                    obs: shard_obs,
-                }
+                    instance,
+                    inflight: ShardInflight::default(),
+                    obs: Arc::clone(obs.shard(i)),
+                    queue: Mutex::new(None),
+                    ring_full_retries: AtomicU64::new(0),
+                })
             })
             .collect();
         OffloadEngine {
             shards,
             router: ShardRouter::new(policy),
-            counters,
+            counters: Arc::new(InflightCounters::default()),
+            next_cookie: AtomicU64::new(1),
+            backpressure: Backpressure::default(),
             mode,
-            has_external_poller: AtomicU64::new(0),
+            has_external_poller: AtomicBool::new(false),
             obs,
         }
     }
@@ -408,7 +318,7 @@ impl OffloadEngine {
     /// Pick the shard for an op of `class` (per-shard inflight totals
     /// feed the router's placement policy). Multi-shard placements are
     /// logged to the flight recorder while metrics are enabled.
-    fn route(&self, class: OpClass) -> &Shard {
+    fn route(&self, class: OpClass) -> &Arc<Shard> {
         let idx = self.router.route_by(class, self.shards.len(), |i| {
             self.shards[i].inflight.total()
         });
@@ -439,10 +349,9 @@ impl OffloadEngine {
         self.obs.set_enabled(true);
         for shard in &self.shards {
             shard
-                .submit
                 .instance
                 .set_retrieve_hook(Arc::clone(&shard.obs) as Arc<dyn qtls_qat::RetrieveHook>);
-            if let Some(queue) = shard.submit.attached_queue() {
+            if let Some(queue) = shard.queue() {
                 queue.set_flight_recorder(Arc::clone(self.obs.recorder()), shard.index);
             }
         }
@@ -451,8 +360,7 @@ impl OffloadEngine {
     /// Declare that an external polling thread is attached (the blocking
     /// path then waits instead of polling the rings itself).
     pub fn set_external_poller(&self, attached: bool) {
-        self.has_external_poller
-            .store(attached as u64, Ordering::Relaxed);
+        self.has_external_poller.store(attached, Ordering::Relaxed);
     }
 
     /// Number of shards (crypto instances) backing this engine.
@@ -465,18 +373,13 @@ impl OffloadEngine {
         self.router.policy()
     }
 
-    /// Shard 0's crypto instance (single-shard engines: *the* instance).
-    pub fn instance(&self) -> &CryptoInstance {
-        &self.shards[0].submit.instance
-    }
-
     /// The crypto instance backing shard `i`.
     ///
     /// # Panics
     ///
     /// Panics if `i >= shard_count()`.
     pub fn shard_instance(&self, i: usize) -> &CryptoInstance {
-        &self.shards[i].submit.instance
+        &self.shards[i].instance
     }
 
     /// Shard `i`'s inflight request total.
@@ -512,27 +415,16 @@ impl OffloadEngine {
     pub fn ring_full_retries(&self) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.submit.ring_full_retries.load(Ordering::Relaxed))
+            .map(|s| s.ring_full_retries.load(Ordering::Relaxed))
             .sum()
     }
 
-    /// Shard 0's retrieval stage (for pollers that want it by name).
-    pub fn retrieve_stage(&self) -> &RetrieveStage {
-        &self.shards[0].retrieve
-    }
-
-    /// Attach a per-worker submit queue to shard 0: async submissions
+    /// Attach a submit queue to shard `i`: a job's single offloads
     /// placed on that shard are staged on it and published in one batch
-    /// by [`Self::flush_submissions`] at the event-loop sweep boundary.
-    /// Blocking offloads keep submitting immediately — a blocked caller
-    /// cannot also be the flusher. Multi-shard engines attach one queue
-    /// per shard via [`Self::attach_shard_submit_queue`].
-    pub fn attach_submit_queue(&self, queue: Arc<SubmitQueue>) {
-        self.attach_shard_submit_queue(0, queue);
-    }
-
-    /// Attach a submit queue to shard `i` (each shard stages and
-    /// flushes independently, so the flush policy applies per ring).
+    /// by [`Self::flush_submissions`] at the event-loop sweep boundary
+    /// (each shard stages and flushes independently, so the flush
+    /// policy applies per ring). [`Placement::decide`] says which
+    /// offloads stage.
     ///
     /// # Panics
     ///
@@ -541,12 +433,7 @@ impl OffloadEngine {
         if self.obs.enabled() {
             queue.set_flight_recorder(Arc::clone(self.obs.recorder()), i as u32);
         }
-        *self.shards[i].submit.queue.lock() = Some(queue);
-    }
-
-    /// Shard 0's attached submit queue, if any.
-    pub fn submit_queue(&self) -> Option<Arc<SubmitQueue>> {
-        self.shards[0].submit.attached_queue()
+        *self.shards[i].queue.lock() = Some(queue);
     }
 
     /// Shard `i`'s attached submit queue, if any.
@@ -555,7 +442,7 @@ impl OffloadEngine {
     ///
     /// Panics if `i >= shard_count()`.
     pub fn shard_submit_queue(&self, i: usize) -> Option<Arc<SubmitQueue>> {
-        self.shards[i].submit.attached_queue()
+        self.shards[i].queue()
     }
 
     /// Sweep-boundary flush of every shard's attached submit queue
@@ -566,9 +453,11 @@ impl OffloadEngine {
     pub fn flush_submissions(&self) -> FlushReport {
         let mut total = FlushReport::default();
         for shard in &self.shards {
-            let report = shard.submit.flush();
-            total.submitted += report.submitted;
-            total.deferred += report.deferred;
+            if let Some(queue) = shard.queue() {
+                let report = queue.sweep(&shard.instance, shard.inflight.total());
+                total.submitted += report.submitted;
+                total.deferred += report.deferred;
+            }
         }
         total
     }
@@ -580,10 +469,10 @@ impl OffloadEngine {
     pub fn drain_submit_queue(&self) -> DrainReport {
         let mut total = DrainReport::default();
         for shard in &self.shards {
-            let Some(queue) = shard.submit.attached_queue() else {
+            let Some(queue) = shard.queue() else {
                 continue;
             };
-            let report = queue.flush(&shard.submit.instance);
+            let report = queue.flush(&shard.instance);
             let cancelled = queue.drain_failing(CryptoError::Cancelled);
             total.flushed += report.submitted;
             total.cancelled += cancelled;
@@ -599,14 +488,14 @@ impl OffloadEngine {
             if total >= max {
                 break;
             }
-            total += shard.retrieve.poll(max - total);
+            total += shard.instance.poll(max - total);
         }
         total
     }
 
     /// Drain all available responses from every shard.
     pub fn poll_all(&self) -> usize {
-        self.shards.iter().map(|s| s.retrieve.poll_all()).sum()
+        self.shards.iter().map(|s| s.instance.poll_all()).sum()
     }
 
     /// Drain all available responses from shard `i`.
@@ -615,213 +504,33 @@ impl OffloadEngine {
     ///
     /// Panics if `i >= shard_count()`.
     pub fn poll_shard(&self, i: usize) -> usize {
-        self.shards[i].retrieve.poll_all()
+        self.shards[i].instance.poll_all()
     }
 
-    /// Offload one crypto operation according to the engine mode. The
-    /// router places the request on one shard first; the mode then
-    /// decides how the caller waits.
-    ///
-    /// - `Async` + inside a fiber job: submit, pause, return the result
-    ///   after resume (possibly pausing multiple times on ring-full).
-    /// - `Blocking`: submit and wait (straight offload).
-    /// - `Async` outside a job: falls back to blocking with self-polling
-    ///   (mirrors OpenSSL running synchronously when no `ASYNC_JOB` is
-    ///   active).
+    /// Offload one crypto operation: a group of one through
+    /// [`Self::offload_batch`].
     pub fn offload(&self, op: CryptoOp) -> CryptoResult {
-        let shard = self.route(op.class());
-        match self.mode {
-            EngineMode::Async if fiber::in_job() => self.offload_async(shard, op),
-            EngineMode::Async => self.offload_blocking(shard, op, true),
-            EngineMode::Blocking => {
-                let self_poll = self.has_external_poller.load(Ordering::Relaxed) == 0;
-                self.offload_blocking(shard, op, self_poll)
-            }
-        }
+        let mut results = self.offload_batch(vec![op]);
+        results.pop().expect("a group of one yields one result")
     }
 
-    /// The async path: non-blocking submit + crypto pause (§3.2).
+    /// Offload a group of same-class operations through ONE shard and
+    /// wait for all of them. Results return in op order.
     ///
-    /// With a submit queue attached the request is staged and the job
-    /// pauses at once; the batch is published at the sweep boundary by
-    /// [`Self::flush_submissions`], and ring-full shows up as deferral
-    /// inside the queue rather than as a submission failure here.
-    /// Without a queue the request is submitted immediately and a full
-    /// ring follows the event-loop backpressure policy: mark retry,
-    /// pause, let the application reschedule. Retries stay on the shard
-    /// the router picked — re-routing a bounced request would reorder
-    /// it behind later submissions on another ring.
-    fn offload_async(&self, shard: &Shard, mut op: CryptoOp) -> CryptoResult {
-        let ctx_handle = fiber::current_wait_ctx().expect("offload_async requires a job");
-        let class = op.class();
-        if let Some(queue) = shard.submit.attached_queue() {
-            // Light-load fast path: the policy may skip staging and ring
-            // the doorbell in place, trading one unamortized doorbell
-            // for a sweep less of staging latency.
-            let bypass = queue.should_bypass(shard.inflight.total());
-            if shard.obs.enabled() {
-                // Connection tracing: link the coming fiber pause to the
-                // shard + flush decision (read back by the worker when
-                // it annotates the offload-wait span).
-                ctx_handle
-                    .get()
-                    .set_submit_info(shard.index, u64::from(bypass));
-            }
-            shard.submit.begin(class);
-            let request = make_request(
-                shard.submit.next_cookie(),
-                op,
-                shard.notify.job_completion(ctx_handle.clone(), class),
-            );
-            if bypass {
-                match shard.submit.instance.submit(request) {
-                    Ok(()) => queue.note_bypass(),
-                    // Full ring despite "light" load: fall back to
-                    // staging; the sweep flush retries as deferral.
-                    Err(SubmitFull(back)) => queue.enqueue(back),
-                }
-            } else {
-                queue.enqueue(request);
-            }
-            return self.consume_parked_result(shard, class, &ctx_handle);
-        }
-        let mut attempt = 0u32;
-        if shard.obs.enabled() {
-            ctx_handle.get().set_submit_info(shard.index, 0);
-        }
-        loop {
-            shard.submit.begin(class);
-            let request = make_request(
-                shard.submit.next_cookie(),
-                op,
-                shard.notify.job_completion(ctx_handle.clone(), class),
-            );
-            match shard.submit.submit_now(request) {
-                Ok(()) => return self.consume_parked_result(shard, class, &ctx_handle),
-                Err(SubmitFull(back)) => {
-                    // Submission failure (§3.2): undo the counter, then
-                    // do what the policy says (always pause/reschedule
-                    // on the event loop).
-                    shard.submit.abort(class);
-                    op = back.op;
-                    self.obs.recorder().record(
-                        EventKind::BackpressureRetry,
-                        shard.index,
-                        attempt as u64 + 1,
-                        0,
-                    );
-                    if shard.obs.enabled() {
-                        ctx_handle.get().set_submit_info(shard.index, 2);
-                    }
-                    match shard
-                        .submit
-                        .backpressure
-                        .action(attempt, SubmitContext::EventLoop)
-                    {
-                        FullAction::Reschedule => {
-                            ctx_handle.get().set_retry();
-                            fiber::pause_job();
-                        }
-                        other => unreachable!("event-loop policy yielded {other:?}"),
-                    }
-                    attempt += 1;
-                }
-            }
-        }
-    }
-
-    /// Crypto pause + post-processing: return control to the
-    /// application, then consume the parked result after resume. A
-    /// spurious resume (event disorder, §4.2) just pauses again. With
-    /// metrics on, the post-processing phase (notification fired →
-    /// result consumed here) is recorded against the owning shard.
-    fn consume_parked_result(
-        &self,
-        shard: &Shard,
-        class: OpClass,
-        ctx_handle: &fiber::CurrentWaitCtx,
-    ) -> CryptoResult {
-        fiber::pause_job();
-        loop {
-            if let Some(result) = ctx_handle.get().take_result() {
-                if shard.obs.enabled() {
-                    if let Some(t) = ctx_handle.get().take_notified_ns() {
-                        shard
-                            .obs
-                            .record(Phase::Post, class, obs::now_ns().saturating_sub(t));
-                    }
-                }
-                return result;
-            }
-            fiber::pause_job();
-        }
-    }
-
-    /// The blocking path (straight offload / no-job fallback). Always
-    /// submits immediately — a blocked caller cannot be the flusher of
-    /// a submit queue — and rides the shared backpressure policy on a
-    /// full ring: self-polling callers yield (each retry drains the
-    /// shard's responses), externally-polled callers spin briefly then
-    /// park so the poller thread gets cycles.
-    fn offload_blocking(&self, shard: &Shard, op: CryptoOp, self_poll: bool) -> CryptoResult {
-        let class = op.class();
-        let slot = Arc::new(BlockSlot::default());
-        shard.submit.begin(class);
-        let mut request = make_request(
-            shard.submit.next_cookie(),
-            op,
-            shard.notify.slot_completion(Arc::clone(&slot), class),
-        );
-        let ctx = if self_poll {
-            SubmitContext::BlockingSelfPoll
-        } else {
-            SubmitContext::BlockingWait
-        };
-        // Straight offload blocks even on submission: retry until queued.
-        let mut attempt = 0u32;
-        loop {
-            match shard.submit.submit_now(request) {
-                Ok(()) => break,
-                Err(SubmitFull(back)) => {
-                    request = back;
-                    if self_poll {
-                        shard.retrieve.poll_all();
-                    }
-                    shard.submit.backpressure.wait(attempt, ctx);
-                    attempt += 1;
-                }
-            }
-        }
-        // Wait for the response ("the QAT Engine cannot return control to
-        // upper layers after it submits a crypto request" — §2.4).
-        let deadline = Instant::now() + Duration::from_secs(120);
-        loop {
-            if self_poll {
-                shard.retrieve.poll_all();
-            }
-            if let Some(result) = slot.try_take(Duration::from_micros(50)) {
-                return result;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "blocking offload timed out: no poller retrieving responses?"
-            );
-        }
-    }
-
-    /// Offload a whole batch of same-class operations through ONE shard
-    /// under a single ring publish and a single doorbell — the data
-    /// plane's multi-record submission. Results return in op order.
-    ///
-    /// - `Async` + inside a fiber job: submit the batch, then pause
-    ///   ONCE; the last member's completion fires the notifier.
-    ///   Ring-full leftovers are staged on the shard's submit queue
-    ///   (published by the next sweep flush, failed with
-    ///   [`CryptoError::Cancelled`] by a shutdown drain — so a
-    ///   mid-batch shutdown fails only the unsent tail); without a
-    ///   queue the job pauses with the retry flag and republishes the
-    ///   tail on resume.
-    /// - otherwise: submit and (self-)poll until every member lands.
+    /// - `Async` inside a fiber job: the group is staged or published
+    ///   per [`Placement::decide`], then the job pauses ONCE; the last
+    ///   member's completion fires the notifier. A full ring's unsent
+    ///   tail is staged on the shard's submit queue (published by the
+    ///   next sweep flush, failed with [`CryptoError::Cancelled`] by a
+    ///   shutdown drain); without a queue the job pauses with the retry
+    ///   flag and republishes the tail on resume. Retries stay on the
+    ///   routed shard — re-routing would reorder the tail behind later
+    ///   submissions on another ring.
+    /// - `Blocking`, or `Async` outside a job (OpenSSL running
+    ///   synchronously when no `ASYNC_JOB` is active): publish in place,
+    ///   ride the [`Backpressure`] policy on a full ring, and wait,
+    ///   polling the shard itself unless an external poller is attached
+    ///   (always, for `Async`).
     ///
     /// # Panics
     ///
@@ -830,204 +539,161 @@ impl OffloadEngine {
         if ops.is_empty() {
             return Vec::new();
         }
-        let class = ops[0].class();
-        debug_assert!(
-            ops.iter().all(|op| op.class() == class),
-            "offload_batch requires a single-class batch"
-        );
-        let shard = self.route(class);
-        match self.mode {
-            EngineMode::Async if fiber::in_job() => self.offload_batch_async(shard, class, ops),
-            EngineMode::Async => self.offload_batch_blocking(shard, class, ops, true),
-            EngineMode::Blocking => {
-                let self_poll = self.has_external_poller.load(Ordering::Relaxed) == 0;
-                self.offload_batch_blocking(shard, class, ops, self_poll)
-            }
-        }
-    }
-
-    /// Batched async path: one crypto pause for the whole batch.
-    fn offload_batch_async(
-        &self,
-        shard: &Shard,
-        class: OpClass,
-        ops: Vec<CryptoOp>,
-    ) -> Vec<CryptoResult> {
-        let ctx_handle = fiber::current_wait_ctx().expect("offload_batch_async requires a job");
-        let collector = Arc::new(BatchCollector::new(ops.len()));
-        let mut batch: std::collections::VecDeque<CryptoRequest> = ops
-            .into_iter()
-            .enumerate()
-            .map(|(i, op)| {
-                shard.submit.begin(class);
-                make_request(
-                    shard.submit.next_cookie(),
-                    op,
-                    shard.notify.batch_job_completion(
-                        Arc::clone(&collector),
-                        i,
-                        ctx_handle.clone(),
-                        class,
-                    ),
-                )
-            })
-            .collect();
-        shard.submit.instance.submit_batch(&mut batch);
-        if !batch.is_empty() {
-            if let Some(queue) = shard.submit.attached_queue() {
-                // The unsent tail rides the sweep machinery: the next
-                // flush publishes it; a shutdown drain fails it with
-                // Cancelled while the already-published head completes.
-                for request in batch.drain(..) {
-                    queue.enqueue(request);
-                }
-            }
-        }
-        let mut attempt = 0u32;
-        while !batch.is_empty() {
-            // No queue to stage on: pause with the retry flag and
-            // republish the tail when the event loop resumes us.
-            shard
-                .submit
-                .ring_full_retries
-                .fetch_add(1, Ordering::Relaxed);
-            self.obs.recorder().record(
-                EventKind::BackpressureRetry,
-                shard.index,
-                attempt as u64 + 1,
-                0,
-            );
-            ctx_handle.get().set_retry();
-            fiber::pause_job();
-            shard.submit.instance.submit_batch(&mut batch);
-            attempt += 1;
-        }
-        // One crypto pause for the batch; spurious resumes re-pause.
-        loop {
-            if ctx_handle.get().take_result().is_some() {
-                return collector.take();
-            }
-            fiber::pause_job();
-        }
-    }
-
-    /// Batched blocking path (straight offload / no-job fallback, also
-    /// what benches use): publish under one doorbell, then (self-)poll
-    /// until the last member completes.
-    fn offload_batch_blocking(
-        &self,
-        shard: &Shard,
-        class: OpClass,
-        ops: Vec<CryptoOp>,
-        self_poll: bool,
-    ) -> Vec<CryptoResult> {
-        let collector = Arc::new(BatchCollector::new(ops.len()));
-        let slot = Arc::new(BlockSlot::default());
-        let mut batch: std::collections::VecDeque<CryptoRequest> = ops
-            .into_iter()
-            .enumerate()
-            .map(|(i, op)| {
-                shard.submit.begin(class);
-                make_request(
-                    shard.submit.next_cookie(),
-                    op,
-                    shard.notify.batch_slot_completion(
-                        Arc::clone(&collector),
-                        i,
-                        Arc::clone(&slot),
-                        class,
-                    ),
-                )
-            })
-            .collect();
-        let ctx = if self_poll {
+        let (job, self_poll) = match self.mode {
+            EngineMode::Async => (fiber::current_wait_ctx(), true),
+            EngineMode::Blocking => (None, !self.has_external_poller.load(Ordering::Relaxed)),
+        };
+        let waiter = match job {
+            Some(ctx) => Waiter::Job(ctx),
+            None => Waiter::Block(BlockSlot::default()),
+        };
+        let (group, mut tail) = self.submit(ops, waiter);
+        let shard = &group.shard;
+        let submit_ctx = if self_poll {
             SubmitContext::BlockingSelfPoll
         } else {
             SubmitContext::BlockingWait
         };
         let mut attempt = 0u32;
-        loop {
-            shard.submit.instance.submit_batch(&mut batch);
-            if batch.is_empty() {
-                break;
+        while !tail.is_empty() {
+            shard.ring_full_retries.fetch_add(1, Ordering::Relaxed);
+            if let Waiter::Job(ctx) = &group.waiter {
+                // Submission failure (§3.2) on the event loop: pause
+                // with the retry flag and let the application reschedule.
+                self.obs.recorder().record(
+                    EventKind::BackpressureRetry,
+                    shard.index,
+                    attempt as u64 + 1,
+                    0,
+                );
+                if shard.obs.enabled() {
+                    ctx.get().set_submit_info(shard.index, 2);
+                }
+                ctx.get().set_retry();
+                fiber::pause_job();
+            } else {
+                if self_poll {
+                    shard.instance.poll_all();
+                }
+                self.backpressure.wait(attempt, submit_ctx);
             }
-            shard
-                .submit
-                .ring_full_retries
-                .fetch_add(1, Ordering::Relaxed);
-            if self_poll {
-                shard.retrieve.poll_all();
-            }
-            shard.submit.backpressure.wait(attempt, ctx);
+            shard.instance.submit_batch(&mut tail);
             attempt += 1;
         }
-        let deadline = Instant::now() + Duration::from_secs(120);
-        loop {
-            if self_poll {
-                shard.retrieve.poll_all();
+        match &group.waiter {
+            // Crypto pause: the last completion parks a sentinel; a
+            // spurious resume (event disorder, §4.2) just pauses again.
+            Waiter::Job(ctx) => {
+                fiber::pause_job();
+                while ctx.get().take_result().is_none() {
+                    fiber::pause_job();
+                }
             }
-            if slot.try_take(Duration::from_micros(50)).is_some() {
-                return collector.take();
+            // "The QAT Engine cannot return control to upper layers
+            // after it submits a crypto request" (§2.4).
+            Waiter::Block(slot) => {
+                let deadline = Instant::now() + Duration::from_secs(120);
+                loop {
+                    if self_poll {
+                        shard.instance.poll_all();
+                    }
+                    if slot.wait(Duration::from_micros(50)) {
+                        break;
+                    }
+                    assert!(
+                        Instant::now() < deadline,
+                        "blocking offload timed out: no poller retrieving responses?"
+                    );
+                }
             }
-            assert!(
-                Instant::now() < deadline,
-                "batched offload timed out: no poller retrieving responses?"
-            );
+            Waiter::Detached(_) => unreachable!("offload_batch always waits"),
+        }
+        group.record_post();
+        group.take()
+    }
+
+    /// Stack-async submission (§4.1): offload `op` as a group of one
+    /// without waiting; `on_done` receives the result from the response
+    /// callback. Published in place; a full ring hands the request back,
+    /// still accounted as inflight, with the index of its shard for a
+    /// retry on the same ring.
+    pub(crate) fn offload_detached(
+        &self,
+        op: CryptoOp,
+        on_done: Box<dyn Fn(Vec<CryptoResult>) + Send + Sync>,
+    ) -> Result<(), (usize, Box<CryptoRequest>)> {
+        let (group, mut tail) = self.submit(vec![op], Waiter::Detached(on_done));
+        match tail.pop_front() {
+            None => Ok(()),
+            Some(request) => Err((group.shard.index as usize, Box::new(request))),
         }
     }
-}
 
-/// Shared result board of one batched offload: a slot per member op and
-/// a countdown; the callback that decrements it to zero wakes the
-/// waiter (one pause / one signal per batch, not per record).
-struct BatchCollector {
-    slots: Mutex<Vec<Option<CryptoResult>>>,
-    remaining: AtomicU64,
-}
-
-impl BatchCollector {
-    fn new(n: usize) -> Self {
-        BatchCollector {
-            slots: Mutex::new((0..n).map(|_| None).collect()),
-            remaining: AtomicU64::new(n as u64),
+    /// Route `ops` to one shard, build one request per op around the
+    /// group completion, and stage or publish the group per
+    /// [`Placement::decide`]. Returns the group and the tail the ring
+    /// refused, which a job with a queue stages instead.
+    fn submit(&self, ops: Vec<CryptoOp>, waiter: Waiter) -> (Arc<Group>, VecDeque<CryptoRequest>) {
+        let class = ops[0].class();
+        debug_assert!(
+            ops.iter().all(|op| op.class() == class),
+            "an offload group must be single-class"
+        );
+        let shard = self.route(class);
+        let in_job = matches!(waiter, Waiter::Job(_));
+        let queue = if in_job { shard.queue() } else { None };
+        let placement =
+            Placement::decide(queue.as_deref(), in_job, ops.len(), shard.inflight.total());
+        if let (Waiter::Job(ctx), true) = (&waiter, shard.obs.enabled()) {
+            // Connection tracing: link the coming pause to the shard
+            // and how the group left (read back by the worker when it
+            // annotates the offload-wait span).
+            ctx.get()
+                .set_submit_info(shard.index, u64::from(placement == Placement::Bypass));
         }
-    }
-
-    /// Park one member's result; true when it was the last outstanding.
-    fn fill(&self, index: usize, result: CryptoResult) -> bool {
-        self.slots.lock()[index] = Some(result);
-        self.remaining.fetch_sub(1, Ordering::AcqRel) == 1
-    }
-
-    /// Collect every result in submission order.
-    fn take(&self) -> Vec<CryptoResult> {
-        self.slots
-            .lock()
-            .drain(..)
-            .map(|slot| slot.expect("batch member completed"))
-            .collect()
-    }
-}
-
-/// One-shot result slot for the blocking path.
-#[derive(Default)]
-struct BlockSlot {
-    lock: Mutex<Option<CryptoResult>>,
-    cond: Condvar,
-}
-
-impl BlockSlot {
-    fn fill(&self, result: CryptoResult) {
-        *self.lock.lock() = Some(result);
-        self.cond.notify_all();
-    }
-
-    fn try_take(&self, wait: Duration) -> Option<CryptoResult> {
-        let mut guard = self.lock.lock();
-        if guard.is_none() {
-            self.cond.wait_for(&mut guard, wait);
+        let group = Arc::new(Group {
+            shard: Arc::clone(shard),
+            counters: Arc::clone(&self.counters),
+            class,
+            slots: Mutex::new((0..ops.len()).map(|_| None).collect()),
+            remaining: AtomicU64::new(ops.len() as u64),
+            notified_ns: AtomicU64::new(0),
+            waiter,
+        });
+        let mut batch: VecDeque<CryptoRequest> = ops
+            .into_iter()
+            .enumerate()
+            .map(|(i, op)| {
+                self.counters.counter(class).fetch_add(1, Ordering::Relaxed);
+                shard.inflight.inc(class);
+                let member = Arc::clone(&group);
+                make_request(
+                    self.next_cookie.fetch_add(1, Ordering::Relaxed),
+                    op,
+                    Box::new(move |result| member.complete(i, result)),
+                )
+            })
+            .collect();
+        match placement {
+            Placement::Staged => {}
+            Placement::InPlace => {
+                shard.instance.submit_batch(&mut batch);
+            }
+            Placement::Bypass => {
+                if shard.instance.submit_batch(&mut batch) > 0 {
+                    queue.as_ref().expect("bypass needs a queue").note_bypass();
+                }
+            }
         }
-        guard.take()
+        // Staged groups, and a job's ring-full tail, ride the sweep
+        // machinery: the next flush publishes them; a shutdown drain
+        // fails them with Cancelled.
+        if let Some(queue) = &queue {
+            for request in batch.drain(..) {
+                queue.enqueue(request);
+            }
+        }
+        (group, batch)
     }
 }
 
@@ -1132,11 +798,8 @@ mod tests {
 
     #[test]
     fn ring_full_sets_retry_and_recovers() {
-        // Device with zero engines on a tiny ring: submissions queue up
-        // and the ring fills; after we attach capacity (poll drains
-        // nothing, so instead use a second device)... simpler: fill the
-        // ring, verify retry flag, then let engines drain (re-created
-        // device has engines).
+        // No engines on a capacity-2 ring: two offloads fill it, a third
+        // bounces with the retry flag and republishes once space frees.
         let dev = QatDevice::new(QatConfig {
             endpoints: 1,
             engines_per_endpoint: 0,
@@ -1161,6 +824,16 @@ mod tests {
         };
         assert!(third.wait_ctx().take_retry(), "retry flag expected");
         assert_eq!(engine.ring_full_retries(), 1);
+        // Free the ring; the rescheduled job republishes and pauses for
+        // its response.
+        assert_eq!(engine.shard_instance(0).discard_requests(usize::MAX), 2);
+        let third = match third.resume() {
+            StartResult::Paused(j) => j,
+            StartResult::Finished(_) => panic!("no engines: the response never arrives"),
+        };
+        assert_eq!(dev.fw_counters().submitted.load(Ordering::Relaxed), 3);
+        assert!(!third.wait_ctx().take_retry(), "republished without retry");
+        assert_eq!(engine.ring_full_retries(), 1);
     }
 
     #[test]
@@ -1169,7 +842,7 @@ mod tests {
         let dev = device();
         let engine = Arc::new(OffloadEngine::new(dev.alloc_instance(), EngineMode::Async));
         let queue = Arc::new(SubmitQueue::new());
-        engine.attach_submit_queue(Arc::clone(&queue));
+        engine.attach_shard_submit_queue(0, Arc::clone(&queue));
         let mut jobs = Vec::new();
         for i in 0..6usize {
             let eng = Arc::clone(&engine);
@@ -1218,7 +891,7 @@ mod tests {
         });
         let engine = Arc::new(OffloadEngine::new(dev.alloc_instance(), EngineMode::Async));
         let queue = Arc::new(SubmitQueue::new());
-        engine.attach_submit_queue(Arc::clone(&queue));
+        engine.attach_shard_submit_queue(0, Arc::clone(&queue));
         let mut jobs = Vec::new();
         for _ in 0..5 {
             let eng = Arc::clone(&engine);
@@ -1236,11 +909,11 @@ mod tests {
         assert_eq!(engine.inflight().total(), 5);
         // "Engines" consume the ring; later sweeps' flushes drain the
         // deferred tail two slots at a time.
-        assert_eq!(engine.instance().discard_requests(usize::MAX), 2);
+        assert_eq!(engine.shard_instance(0).discard_requests(usize::MAX), 2);
         let report = engine.flush_submissions();
         assert_eq!(report.submitted, 2);
         assert_eq!(report.deferred, 1);
-        assert_eq!(engine.instance().discard_requests(usize::MAX), 2);
+        assert_eq!(engine.shard_instance(0).discard_requests(usize::MAX), 2);
         let report = engine.flush_submissions();
         assert_eq!(report.submitted, 1);
         assert_eq!(report.deferred, 0);
@@ -1256,7 +929,7 @@ mod tests {
             bypass: true,
             ..FlushPolicyConfig::adaptive()
         }));
-        engine.attach_submit_queue(Arc::clone(&queue));
+        engine.attach_shard_submit_queue(0, Arc::clone(&queue));
         let eng = Arc::clone(&engine);
         let job = match start_job(move || eng.offload(prf_op(8))) {
             StartResult::Paused(j) => j,
@@ -1278,6 +951,27 @@ mod tests {
             StartResult::Finished(res) => assert_eq!(res.unwrap().into_bytes().len(), 8),
             StartResult::Paused(_) => panic!("must finish"),
         }
+        // A group of several is published in place under its own
+        // doorbell and is not a bypass.
+        let eng = Arc::clone(&engine);
+        let job = match start_job(move || eng.offload_batch((1..=4).map(prf_op).collect())) {
+            StartResult::Paused(j) => j,
+            StartResult::Finished(_) => panic!("must pause"),
+        };
+        assert!(queue.is_empty());
+        assert_eq!(dev.fw_counters().submitted.load(Ordering::Relaxed), 5);
+        assert_eq!(dev.fw_counters().doorbells.load(Ordering::Relaxed), 2);
+        assert_eq!(queue.stats().bypasses.load(Ordering::Relaxed), 1);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while engine.inflight().total() > 0 {
+            engine.poll_all();
+            assert!(Instant::now() < deadline);
+            std::thread::yield_now();
+        }
+        match job.resume() {
+            StartResult::Finished(results) => assert_eq!(results.len(), 4),
+            StartResult::Paused(_) => panic!("must finish"),
+        }
     }
 
     #[test]
@@ -1296,7 +990,7 @@ mod tests {
             max_hold: Duration::from_secs(3600),
             bypass: false,
         }));
-        engine.attach_submit_queue(Arc::clone(&queue));
+        engine.attach_shard_submit_queue(0, Arc::clone(&queue));
         let mut jobs = Vec::new();
         for _ in 0..3 {
             let eng = Arc::clone(&engine);
@@ -1343,7 +1037,7 @@ mod tests {
         });
         let engine = Arc::new(OffloadEngine::new(dev.alloc_instance(), EngineMode::Async));
         let queue = Arc::new(SubmitQueue::new());
-        engine.attach_submit_queue(Arc::clone(&queue));
+        engine.attach_shard_submit_queue(0, Arc::clone(&queue));
         let mut jobs = Vec::new();
         for _ in 0..5 {
             let eng = Arc::clone(&engine);
@@ -1582,18 +1276,22 @@ mod tests {
 
     #[test]
     fn batched_blocking_offload_one_doorbell_ordered_results() {
-        let dev = device();
-        let engine = OffloadEngine::new(dev.alloc_instance(), EngineMode::Blocking);
-        let ops: Vec<CryptoOp> = (1..=8).map(prf_op).collect();
-        let results = engine.offload_batch(ops);
-        assert_eq!(results.len(), 8);
-        for (i, result) in results.into_iter().enumerate() {
-            assert_eq!(result.unwrap().into_bytes().len(), i + 1, "order kept");
+        // Straight offload, and async mode outside a job (the blocking
+        // fallback), publish the group under one doorbell alike.
+        for mode in [EngineMode::Blocking, EngineMode::Async] {
+            let dev = device();
+            let engine = OffloadEngine::new(dev.alloc_instance(), mode);
+            let ops: Vec<CryptoOp> = (1..=8).map(prf_op).collect();
+            let results = engine.offload_batch(ops);
+            assert_eq!(results.len(), 8);
+            for (i, result) in results.into_iter().enumerate() {
+                assert_eq!(result.unwrap().into_bytes().len(), i + 1, "order kept");
+            }
+            // The whole batch went out under ONE doorbell.
+            assert_eq!(dev.fw_counters().doorbells.load(Ordering::Relaxed), 1);
+            assert_eq!(dev.fw_counters().submitted.load(Ordering::Relaxed), 8);
+            assert_eq!(engine.inflight().total(), 0);
         }
-        // The whole batch went out under ONE doorbell.
-        assert_eq!(dev.fw_counters().doorbells.load(Ordering::Relaxed), 1);
-        assert_eq!(dev.fw_counters().submitted.load(Ordering::Relaxed), 8);
-        assert_eq!(engine.inflight().total(), 0);
     }
 
     #[test]
@@ -1645,7 +1343,7 @@ mod tests {
             },
         });
         let engine = Arc::new(OffloadEngine::new(dev.alloc_instance(), EngineMode::Async));
-        engine.attach_submit_queue(Arc::new(SubmitQueue::new()));
+        engine.attach_shard_submit_queue(0, Arc::new(SubmitQueue::new()));
         let eng = Arc::clone(&engine);
         let job = match start_job(move || eng.offload_batch(vec![prf_op(8); 10])) {
             StartResult::Paused(j) => j,
@@ -1705,5 +1403,102 @@ mod tests {
         assert_eq!(engine.inflight().total(), 0);
         assert_eq!(engine.shard_inflight(0), 0);
         assert_eq!(engine.shard_inflight(1), 0);
+    }
+
+    /// Poll every shard until nothing is inflight.
+    fn drain(engine: &OffloadEngine) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while engine.inflight().total() > 0 {
+            engine.poll_all();
+            assert!(Instant::now() < deadline, "responses never arrived");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn group_of_one_in_a_job_is_staged_until_the_sweep_flush() {
+        use crate::pipeline::SubmitQueue;
+        let dev = device();
+        let engine = Arc::new(OffloadEngine::new(dev.alloc_instance(), EngineMode::Async));
+        let queue = Arc::new(SubmitQueue::new());
+        engine.attach_shard_submit_queue(0, Arc::clone(&queue));
+        let eng = Arc::clone(&engine);
+        let job = match start_job(move || eng.offload_batch(vec![prf_op(3)])) {
+            StartResult::Paused(j) => j,
+            StartResult::Finished(_) => panic!("must pause"),
+        };
+        assert_eq!(queue.len(), 1);
+        assert_eq!(engine.inflight().total(), 1);
+        assert_eq!(dev.fw_counters().submitted.load(Ordering::Relaxed), 0);
+        assert_eq!(engine.flush_submissions().submitted, 1);
+        assert_eq!(dev.fw_counters().submitted.load(Ordering::Relaxed), 1);
+        drain(&engine);
+        match job.resume() {
+            StartResult::Finished(mut results) => {
+                assert_eq!(results.len(), 1);
+                assert_eq!(results.pop().unwrap().unwrap().into_bytes().len(), 3);
+            }
+            StartResult::Paused(_) => panic!("must finish"),
+        }
+    }
+
+    #[test]
+    fn batched_offload_records_phases_and_submit_info() {
+        use qtls_qat::OpClass;
+        let dev = QatDevice::new(QatConfig {
+            endpoints: 2,
+            engines_per_endpoint: 1,
+            ring_capacity: 32,
+            ..QatConfig::functional_small()
+        });
+        let engine = Arc::new(OffloadEngine::sharded(
+            dev.alloc_instances(2),
+            EngineMode::Async,
+            ShardPolicy::RoundRobin,
+        ));
+        engine.enable_metrics();
+        let count = |phase| -> u64 {
+            (0..engine.shard_count())
+                .map(|i| {
+                    engine
+                        .obs()
+                        .shard(i)
+                        .snapshot(phase, OpClass::Cipher)
+                        .count()
+                })
+                .sum()
+        };
+        let (notify0, post0) = (count(Phase::Notify), count(Phase::Post));
+        // A PRF offload outside a job takes round-robin's first turn, so
+        // the group lands on shard 1 and a shard-0 default would show.
+        engine.offload(prf_op(8)).unwrap();
+        let cipher = |i: u8| CryptoOp::CipherEncrypt {
+            enc_key: [i; 16],
+            mac_key: vec![i; 20],
+            iv: [i; 16],
+            plaintext: vec![i; 64],
+            aad: vec![i; 13],
+        };
+        let eng = Arc::clone(&engine);
+        let job = match start_job(move || eng.offload_batch((1..=4).map(cipher).collect())) {
+            StartResult::Paused(j) => j,
+            StartResult::Finished(_) => panic!("must pause"),
+        };
+        let shard = (0..engine.shard_count())
+            .find(|&i| engine.shard_inflight(i) == 4)
+            .expect("the group sits on one shard");
+        assert_eq!(shard, 1);
+        assert_eq!(job.wait_ctx().submit_info(), Some((shard as u32, 0)));
+        drain(&engine);
+        match job.resume() {
+            StartResult::Finished(results) => {
+                assert_eq!(results.len(), 4);
+                assert!(results.iter().all(|r| r.is_ok()));
+            }
+            StartResult::Paused(_) => panic!("must finish"),
+        }
+        // One wake-up for the group: one notification, one post sample.
+        assert_eq!(count(Phase::Notify), notify0 + 1);
+        assert_eq!(count(Phase::Post), post0 + 1);
     }
 }

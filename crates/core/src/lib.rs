@@ -4,17 +4,17 @@
 //! the machinery that turns blocking crypto offload into the four-phase
 //! asynchronous pipeline of §3.1:
 //!
-//! 1. **Pre-processing** — [`engine::OffloadEngine`] (a thin
-//!    composition of submit/retrieve/notify stages) submits the crypto
+//! 1. **Pre-processing** — [`engine::OffloadEngine`] submits the crypto
 //!    request through the device's non-blocking ring API and pauses the
 //!    current offload job ([`fiber::pause_job`]), returning control to
-//!    the event loop. With a [`pipeline::SubmitQueue`] attached,
-//!    submissions are staged per event-loop sweep and published in one
-//!    batch (one ring-cursor publish, one doorbell) at the sweep
-//!    boundary; ring-full handling everywhere goes through the single
-//!    [`pipeline::Backpressure`] policy. [`fiber`] provides
-//!    OpenSSL-style `ASYNC_JOB` semantics (`start_job` / `pause_job` /
-//!    resume).
+//!    the event loop. Every offload is a group (a single op is a group
+//!    of one) on one path. With a [`pipeline::SubmitQueue`] attached, a
+//!    job's single offloads are staged per event-loop sweep and
+//!    published in one batch (one ring-cursor publish, one doorbell) at
+//!    the sweep boundary; ring-full handling for blocking callers goes
+//!    through the single [`pipeline::Backpressure`] policy. [`fiber`]
+//!    provides OpenSSL-style `ASYNC_JOB` semantics (`start_job` /
+//!    `pause_job` / resume).
 //! 2. **QAT response retrieval** — [`poller::HeuristicPoller`]
 //!    implements the heuristic scheme (efficiency threshold, timeliness
 //!    rule, failover), with [`poller::TimerPoller`] as the timer-thread
@@ -52,7 +52,7 @@ pub mod shard;
 pub mod stack;
 pub mod wait_ctx;
 
-pub use engine::{EngineMode, InflightCounters, OffloadEngine, RetrieveStage, SubmitStage};
+pub use engine::{EngineMode, InflightCounters, OffloadEngine};
 pub use fiber::{in_job, pause_job, start_job, AsyncJob, StartResult};
 pub use notify::{AsyncQueue, FdSelector, KernelCostMeter, Notifier, VirtualFd};
 pub use obs::{
@@ -60,7 +60,7 @@ pub use obs::{
 };
 pub use pipeline::{
     Backpressure, BackpressureConfig, DrainReport, FlushMode, FlushPolicyConfig, FlushReport,
-    FullAction, SubmitContext, SubmitQueue, SubmitSnapshot, SubmitStats,
+    FullAction, Placement, SubmitContext, SubmitQueue, SubmitSnapshot, SubmitStats,
 };
 pub use poller::{HeuristicConfig, HeuristicPoller, HeuristicStats, PollTrigger, TimerPoller};
 pub use profile::{NotifyScheme, OffloadProfile, PollingScheme};

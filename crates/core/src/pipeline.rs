@@ -124,6 +124,50 @@ impl Backpressure {
     }
 }
 
+/// Where an offload group goes when it leaves the submitting caller.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Placement {
+    /// Staged on the shard's [`SubmitQueue`] for the sweep-boundary
+    /// flush.
+    Staged,
+    /// Published in place because the light-load bypass holds; counted
+    /// with [`SubmitQueue::note_bypass`] once the ring takes it.
+    Bypass,
+    /// Published in place under the group's own doorbell.
+    InPlace,
+}
+
+impl Placement {
+    /// The staging rule, decided here and nowhere else, for a group of
+    /// `depth` requests on a shard carrying `inflight` requests:
+    ///
+    /// - a group of one, inside a job, on a shard with a queue is
+    ///   staged — unless [`SubmitQueue::should_bypass`] holds, when it
+    ///   is published in place as a bypass;
+    /// - a group of more than one is published in place: it already
+    ///   shares one doorbell, so staging would only add a sweep of
+    ///   latency;
+    /// - a blocking caller (`in_job` false) always publishes in place,
+    ///   since a blocked caller cannot also be the flusher.
+    pub fn decide(
+        queue: Option<&SubmitQueue>,
+        in_job: bool,
+        depth: usize,
+        inflight: u64,
+    ) -> Placement {
+        match queue {
+            Some(queue) if in_job && depth == 1 => {
+                if queue.should_bypass(inflight) {
+                    Placement::Bypass
+                } else {
+                    Placement::Staged
+                }
+            }
+            _ => Placement::InPlace,
+        }
+    }
+}
+
 /// How the sweep-boundary flush decides between latency and batching.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlushMode {
@@ -733,6 +777,39 @@ mod tests {
         // Eager queues never bypass.
         let eager = SubmitQueue::new();
         assert!(!eager.should_bypass(0));
+    }
+
+    #[test]
+    fn placement_rule_cells() {
+        let eager = SubmitQueue::new();
+        let bypassing = SubmitQueue::with_policy(FlushPolicyConfig {
+            bypass: true,
+            ..FlushPolicyConfig::adaptive()
+        });
+        // A job's group of one is staged, or bypasses under light load.
+        assert_eq!(
+            Placement::decide(Some(&eager), true, 1, 0),
+            Placement::Staged
+        );
+        assert_eq!(
+            Placement::decide(Some(&bypassing), true, 1, 0),
+            Placement::Bypass
+        );
+        assert_eq!(
+            Placement::decide(Some(&bypassing), true, 1, 100),
+            Placement::Staged
+        );
+        // Larger groups, queue-less shards and blocking callers publish
+        // in place.
+        assert_eq!(
+            Placement::decide(Some(&bypassing), true, 4, 0),
+            Placement::InPlace
+        );
+        assert_eq!(Placement::decide(None, true, 1, 0), Placement::InPlace);
+        assert_eq!(
+            Placement::decide(Some(&eager), false, 1, 0),
+            Placement::InPlace
+        );
     }
 
     #[test]

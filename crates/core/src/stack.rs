@@ -18,7 +18,8 @@
 //! tests and the `framework` ablation bench.
 
 use crate::engine::OffloadEngine;
-use qtls_qat::{CryptoOp, CryptoResult, SubmitFull};
+use qtls_crypto::CryptoError;
+use qtls_qat::{CryptoOp, CryptoRequest, CryptoResult, SubmitFull};
 use qtls_sync::Mutex;
 use std::sync::Arc;
 
@@ -30,8 +31,9 @@ enum Flag {
     Inflight,
     /// Response retrieved; result ready for consumption.
     Ready(CryptoResult),
-    /// Submission failed (ring full); retry with the stored descriptor.
-    Retry(Box<CryptoOp>),
+    /// Submission failed (ring full); retry the stored request on the
+    /// shard it was routed to. It stays accounted as inflight.
+    Retry(usize, Box<CryptoRequest>),
 }
 
 /// What a [`StackAsyncOp::drive`] call tells the caller to do next.
@@ -74,14 +76,17 @@ impl StackAsyncOp {
 
     /// Drive the operation one step — the re-enterable crypto API of
     /// Fig. 5. `make_op` is only invoked when a fresh submission is
-    /// needed (first call, or after `Ready` reset the state).
+    /// needed (first call, or after `Ready` reset the state). A fresh
+    /// submission goes through the engine's offload path, so it is
+    /// routed, gets a cookie and counts as inflight until its response
+    /// callback runs.
     pub fn drive(&self, engine: &OffloadEngine, make_op: impl FnOnce() -> CryptoOp) -> StackPoll {
         // Fast path decisions under the lock; submission outside it.
-        let op = {
+        let retry = {
             let mut flag = self.flag.lock();
             match std::mem::replace(&mut *flag, Flag::Inflight) {
-                Flag::Idle => Some(make_op()),
-                Flag::Retry(op) => Some(*op),
+                Flag::Idle => None,
+                Flag::Retry(shard, request) => Some((shard, request)),
                 Flag::Inflight => return StackPoll::WantAsync,
                 Flag::Ready(result) => {
                     *flag = Flag::Idle;
@@ -89,21 +94,39 @@ impl StackAsyncOp {
                 }
             }
         };
-        let op = op.expect("submission path");
-        let slot = Arc::clone(&self.flag);
-        let request = qtls_qat::make_request(
-            0,
-            op,
-            Box::new(move |result| {
-                *slot.lock() = Flag::Ready(result);
-            }),
-        );
-        match engine.instance().submit(request) {
+        let submitted = match retry {
+            Some((shard, request)) => engine
+                .shard_instance(shard)
+                .submit(*request)
+                .map_err(|SubmitFull(back)| (shard, Box::new(back))),
+            None => {
+                let slot = Arc::clone(&self.flag);
+                engine.offload_detached(
+                    make_op(),
+                    Box::new(move |mut results| {
+                        let result = results.pop().expect("a group of one yields one result");
+                        *slot.lock() = Flag::Ready(result);
+                    }),
+                )
+            }
+        };
+        match submitted {
             Ok(()) => StackPoll::WantAsync,
-            Err(SubmitFull(back)) => {
-                *self.flag.lock() = Flag::Retry(Box::new(back.op));
+            Err((shard, request)) => {
+                *self.flag.lock() = Flag::Retry(shard, request);
                 StackPoll::WantRetry
             }
+        }
+    }
+}
+
+impl Drop for StackAsyncOp {
+    /// An abandoned retry still holds an accounted request: fail it, so
+    /// its completion releases the inflight counters.
+    fn drop(&mut self) {
+        let flag = std::mem::replace(&mut *self.flag.lock(), Flag::Idle);
+        if let Flag::Retry(_, request) = flag {
+            (request.callback)(Err(CryptoError::Cancelled));
         }
     }
 }
@@ -153,6 +176,33 @@ mod tests {
     }
 
     #[test]
+    fn stack_op_is_accounted_inflight_until_ready() {
+        let dev = QatDevice::new(QatConfig::functional_small());
+        let engine = OffloadEngine::new(dev.alloc_instance(), EngineMode::Async);
+        let op = StackAsyncOp::new();
+        assert!(matches!(op.drive(&engine, prf_op), StackPoll::WantAsync));
+        assert_eq!(engine.inflight().total(), 1);
+        assert_eq!(engine.shard_inflight(0), 1);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            engine.poll_all();
+            match op.drive(&engine, || unreachable!("no resubmission")) {
+                StackPoll::WantAsync => {
+                    assert!(Instant::now() < deadline, "never completed");
+                    std::thread::yield_now();
+                }
+                StackPoll::Ready(result) => {
+                    assert!(result.is_ok());
+                    break;
+                }
+                StackPoll::WantRetry => panic!("no retry expected"),
+            }
+        }
+        assert_eq!(engine.inflight().total(), 0);
+        assert_eq!(engine.shard_inflight(0), 0);
+    }
+
+    #[test]
     fn retry_on_full_ring() {
         let dev = QatDevice::new(QatConfig {
             endpoints: 1,
@@ -174,6 +224,10 @@ mod tests {
             c.drive(&engine, || unreachable!("descriptor is stored")),
             StackPoll::WantRetry
         ));
+        // Dropping the op mid-retry releases its accounting.
+        assert_eq!(engine.inflight().total(), 3);
+        drop(c);
+        assert_eq!(engine.inflight().total(), 2);
     }
 
     #[test]

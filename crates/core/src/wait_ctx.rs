@@ -41,10 +41,6 @@ struct Inner {
     notifier: Option<(Arc<dyn Notifier>, u64)>,
     /// Free-form user tag (diagnostics/tests).
     tag: Option<u64>,
-    /// Trace stamp: when the notification was fired for the currently
-    /// parked result (obs plane; consumed at resume for the
-    /// post-processing phase).
-    notified_ns: Option<u64>,
     /// Trace annotation: the shard the last submission from this job
     /// was routed to, and how it left the submit queue (0 = batched,
     /// 1 = bypass, 2 = backpressure retry). Set by the engine only for
@@ -121,20 +117,6 @@ impl WaitCtx {
     /// Consume the retry flag.
     pub fn take_retry(&self) -> bool {
         std::mem::take(&mut self.inner.lock().needs_retry)
-    }
-
-    /// Trace stamp (obs plane): record when the notification for the
-    /// parked result was fired. Benign race with a fast resume: if the
-    /// job consumed the result first, the stale stamp is overwritten or
-    /// consumed by the next completion on this context.
-    pub fn set_notified_ns(&self, ns: u64) {
-        self.inner.lock().notified_ns = Some(ns);
-    }
-
-    /// Consume the notification trace stamp, if one was recorded for
-    /// the result just taken.
-    pub fn take_notified_ns(&self) -> Option<u64> {
-        self.inner.lock().notified_ns.take()
     }
 
     /// Trace annotation (connection tracing): which shard the last

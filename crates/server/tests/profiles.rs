@@ -436,7 +436,7 @@ fn qtls_stub_status_reports_batched_submissions() {
     let snap = worker
         .engine()
         .expect("qtls has an engine")
-        .submit_queue()
+        .shard_submit_queue(0)
         .expect("async profile attaches a queue")
         .stats()
         .snapshot();
@@ -498,7 +498,7 @@ fn worker_stats_track_deferred_submits_from_ring_full_sweeps() {
     let queue = worker
         .engine()
         .expect("engine")
-        .submit_queue()
+        .shard_submit_queue(0)
         .expect("queue");
     let cancelled = Arc::new(AtomicU64::new(0));
     for i in 0..5 {
@@ -550,7 +550,7 @@ fn worker_shutdown_drains_staged_submissions() {
     let queue = worker
         .engine()
         .expect("engine")
-        .submit_queue()
+        .shard_submit_queue(0)
         .expect("queue");
     let cancelled = Arc::new(AtomicU64::new(0));
     for i in 0..5 {

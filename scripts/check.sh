@@ -14,6 +14,13 @@ cargo build --release --offline
 echo "== cargo test -q --offline --workspace =="
 cargo test -q --offline --workspace
 
+echo "== perfbench build + unit tests =="
+# perfbench/ (the BENCHMARK.json harness) is a package of its own with
+# path dependencies on the crates; no workspace command compiles it, so
+# an engine API change could otherwise break the benchmark unnoticed.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== property sweeps (--features proptest) =="
 # The in-repo prop harness scales every property to its full case
 # count under this feature; still offline and deterministic.
